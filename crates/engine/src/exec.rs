@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use storage::{Catalog, Row, Table, Value};
+use storage::{Catalog, Row, Schema, SqlType, Table, Value};
 
 /// Join-pair interval between cooperative cancellation checks: frequent
 /// enough that a runaway join reacts within microseconds, rare enough
@@ -581,11 +581,13 @@ impl Engine {
             left_rows: left,
             right_rows: right,
         } = inputs;
-        let l_arity = left_plan.schema.arity();
-        let r_arity = right_plan.schema.arity();
+        let (l_schema, r_schema) = (&left_plan.schema, &right_plan.schema);
         let conjuncts = collect_conjuncts(condition);
-        let equi = equi_keys(&conjuncts, l_arity);
-        let overlap = overlap_pattern(&conjuncts, l_arity, r_arity);
+        let equi: Vec<(usize, usize)> = conjuncts
+            .iter()
+            .filter_map(|c| equi_key(c, l_schema, r_schema))
+            .collect();
+        let overlap = overlap_pattern(&conjuncts, l_schema, r_schema);
 
         // Physical choice: the plan hint wins; Auto is index-aware. An
         // index is only usable for the sweep when it was built on the very
@@ -604,10 +606,11 @@ impl Engine {
         let both_indexed = l_index.is_some() && r_index.is_some();
         // Auto resolution: a pinned engine strategy routes every overlap
         // join its way (that is how the harness compares routes); otherwise
-        // equality conjuncts win — a hash join touches only key matches,
-        // while the sweep would enumerate every temporally co-valid pair
-        // across all keys before the equality filter. The indexed sweep is
-        // the automatic choice only for *pure* overlap joins.
+        // equality conjuncts win — the hash join sweeps each key's bucket
+        // by interval, so it visits only pairs that match on the key *and*
+        // overlap, while a global sweep visits every overlapping pair
+        // across all keys. The indexed sweep is the automatic choice only
+        // for *pure* overlap joins.
         let resolved = match algo {
             JoinAlgo::Auto => {
                 let sweep_pinned = self.config.join_strategy == JoinStrategy::IndexSweep;
@@ -790,7 +793,19 @@ impl Engine {
             | JoinAlgo::MergeInterval
                 if !equi.is_empty() =>
             {
-                let out = hash_join(left, right, &equi, condition, self.ctx.as_ref())?;
+                // Conjuncts the kernel enforces by construction (hashed
+                // keys; the overlap its bucket sweep guarantees) are not
+                // evaluated again.
+                let swept = overlap.map(|o| overlap_conjuncts(o, l_schema));
+                let residual: Vec<&Expr> = conjuncts
+                    .iter()
+                    .copied()
+                    .filter(|c| {
+                        equi_key(c, l_schema, r_schema).is_none()
+                            && !swept.as_ref().is_some_and(|s| s.contains(c))
+                    })
+                    .collect();
+                let out = hash_join(left, right, &equi, overlap, &residual, self.ctx.as_ref())?;
                 stats.record("HashJoin", out.len());
                 out
             }
@@ -901,136 +916,208 @@ fn collect_conjuncts(e: &Expr) -> Vec<&Expr> {
     out
 }
 
-/// Extracts `left_col = right_col` pairs from conjuncts.
-fn equi_keys(conjuncts: &[&Expr], l_arity: usize) -> Vec<(usize, usize)> {
-    let mut keys = Vec::new();
-    // lint:allow(cancellation) bounded by predicate size
-    for c in conjuncts {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = c
-        {
-            if let (Expr::Col(i), Expr::Col(j)) = (left.as_ref(), right.as_ref()) {
-                if *i < l_arity && *j >= l_arity {
-                    keys.push((*i, *j - l_arity));
-                } else if *j < l_arity && *i >= l_arity {
-                    keys.push((*j, *i - l_arity));
-                }
-            }
-        }
-    }
-    keys
+/// A cross-side `left_col = right_col` conjunct as local `(left, right)`
+/// column indices. Only same-typed, non-`DOUBLE` pairs qualify: for them
+/// hashing `Value`s agrees with SQL `=` (a `DOUBLE` key would hash `-0.0`
+/// and `0.0` apart and `NaN` together), so the hash kernel may treat the
+/// conjunct as proven for every pair it visits.
+fn equi_key(c: &Expr, l: &Schema, r: &Schema) -> Option<(usize, usize)> {
+    let Expr::Binary {
+        op: BinOp::Eq,
+        left,
+        right,
+    } = c
+    else {
+        return None;
+    };
+    let (Expr::Col(i), Expr::Col(j)) = (left.as_ref(), right.as_ref()) else {
+        return None;
+    };
+    let la = l.arity();
+    let (li, ri) = if *i < la && *j >= la {
+        (*i, *j - la)
+    } else if *j < la && *i >= la {
+        (*j, *i - la)
+    } else {
+        return None;
+    };
+    let ty = l.column(li).ty;
+    (ri < r.arity() && r.column(ri).ty == ty && ty != SqlType::Double).then_some((li, ri))
 }
 
 /// Detects the `overlaps` pattern produced by the rewriter:
 /// `Col(lts) < Col(rte) AND Col(rts) < Col(lte)` on the trailing period
-/// columns of both inputs. Returns local indices `(lts, lte, rts, rte)`.
+/// columns of both inputs, which must be `INT`. Returns local indices
+/// `(lts, lte, rts, rte)`.
 fn overlap_pattern(
     conjuncts: &[&Expr],
-    l_arity: usize,
-    r_arity: usize,
+    l: &Schema,
+    r: &Schema,
 ) -> Option<(usize, usize, usize, usize)> {
-    if l_arity < 2 || r_arity < 2 {
+    let (la, ra) = (l.arity(), r.arity());
+    if la < 2 || ra < 2 {
         return None;
     }
-    let (lts, lte) = (l_arity - 2, l_arity - 1);
-    let (rts_g, rte_g) = (l_arity + r_arity - 2, l_arity + r_arity - 1);
-    let mut has_l_lt_r = false;
-    let mut has_r_lt_l = false;
-    // lint:allow(cancellation) bounded by predicate size
-    for c in conjuncts {
-        if let Expr::Binary {
-            op: BinOp::Lt,
-            left,
-            right,
-        } = c
-        {
-            if let (Expr::Col(i), Expr::Col(j)) = (left.as_ref(), right.as_ref()) {
-                if *i == lts && *j == rte_g {
-                    has_l_lt_r = true;
-                }
-                if *i == rts_g && *j == lte {
-                    has_r_lt_l = true;
-                }
-            }
-        }
-    }
-    (has_l_lt_r && has_r_lt_l).then_some((lts, lte, rts_g - l_arity, rte_g - l_arity))
+    let o = (la - 2, la - 1, ra - 2, ra - 1);
+    let int = |s: &Schema, i: usize| s.column(i).ty == SqlType::Int;
+    let typed = int(l, o.0) && int(l, o.1) && int(r, o.2) && int(r, o.3);
+    (typed
+        && overlap_conjuncts(o, l)
+            .iter()
+            .all(|p| conjuncts.contains(&p)))
+    .then_some(o)
 }
 
+/// The two conjuncts of the overlap pattern `o` over `left ++ right`.
+fn overlap_conjuncts((lts, lte, rts, rte): (usize, usize, usize, usize), l: &Schema) -> [Expr; 2] {
+    let la = l.arity();
+    [
+        Expr::col(lts).lt(Expr::col(la + rte)),
+        Expr::col(la + rts).lt(Expr::col(lte)),
+    ]
+}
+
+/// A row's join key, borrowed: hashes and compares the values at `cols`,
+/// so neither side clones key values.
+struct KeyRef<'a> {
+    row: &'a Row,
+    cols: &'a [usize],
+}
+
+impl std::hash::Hash for KeyRef<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // lint:allow(cancellation) bounded by join-key arity
+        for &c in self.cols {
+            self.row.get(c).hash(state);
+        }
+    }
+}
+
+impl PartialEq for KeyRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols
+            .iter()
+            .zip(other.cols)
+            .all(|(&a, &b)| self.row.get(a) == other.row.get(b))
+    }
+}
+
+impl Eq for KeyRef<'_> {}
+
+/// Whether a row can join at all: no NULL key (NULL never equals), and,
+/// when the bucket sweep enforces overlap, an `INT` period (a NULL
+/// endpoint makes the overlap test unknown).
+fn joinable(row: &Row, keys: &[usize], period: Option<(usize, usize)>) -> bool {
+    keys.iter().all(|&k| !row.get(k).is_null())
+        && period
+            .is_none_or(|(ts, te)| row.get(ts).as_int().is_some() && row.get(te).as_int().is_some())
+}
+
+/// Hash join on `keys`: the smaller side is hashed into buckets of rows
+/// sharing a key, and the larger side's rows are dropped into the bucket of
+/// their key (rows whose key the build side lacks go nowhere). Each bucket
+/// then pairs its two halves: with an overlap pattern `(lts, lte, rts,
+/// rte)` both halves are sorted by begin and swept, so only pairs that
+/// match on the key *and* overlap are visited; without one, every pair is.
+/// A visited pair is concatenated and kept when the `residual` conjuncts
+/// (those the keys and the sweep do not already prove) all hold.
 fn hash_join(
     left: &[Row],
     right: &[Row],
     keys: &[(usize, usize)],
-    condition: &Expr,
+    overlap: Option<(usize, usize, usize, usize)>,
+    residual: &[&Expr],
     ctx: Option<&ExecContext>,
 ) -> Result<Vec<Row>, String> {
-    // Build on the smaller side; probe with the larger.
-    let build_left = left.len() <= right.len();
-    let (build, probe) = if build_left {
-        (left, right)
+    let (l_keys, r_keys): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+    let l_side = (
+        left,
+        &l_keys[..],
+        overlap.map(|(lts, lte, _, _)| (lts, lte)),
+    );
+    let r_side = (
+        right,
+        &r_keys[..],
+        overlap.map(|(_, _, rts, rte)| (rts, rte)),
+    );
+    // Build on the smaller side; probe with the larger. Each bucket holds
+    // the left and the right rows (`[0]` and `[1]`) sharing one build key.
+    let (build, probe, build_slot) = if left.len() <= right.len() {
+        (l_side, r_side, 0)
     } else {
-        (right, left)
+        (r_side, l_side, 1)
     };
-    let build_keys: Vec<usize> = keys
-        .iter()
-        .map(|&(l, r)| if build_left { l } else { r })
-        .collect();
-    let probe_keys: Vec<usize> = keys
-        .iter()
-        .map(|&(l, r)| if build_left { r } else { l })
-        .collect();
-
-    let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::with_capacity(build.len());
-    'build: for (n, row) in build.iter().enumerate() {
+    let mut ids: HashMap<KeyRef<'_>, usize> = HashMap::with_capacity(build.0.len());
+    let mut buckets: Vec<[Vec<&Row>; 2]> = Vec::new();
+    let (build_rows, build_keys, build_period) = build;
+    for (n, row) in build_rows.iter().enumerate() {
         if let Some(ctx) = ctx {
             // The build side can be arbitrarily large; poll the token at
-            // the same cadence as the probe phase's pair counting.
+            // the same cadence as the pair counting below.
             if (n as u64 + 1).is_multiple_of(CANCEL_CHECK_INTERVAL) {
                 ctx.check()?;
             }
         }
-        let mut key = Vec::with_capacity(build_keys.len());
-        // lint:allow(cancellation) bounded by join-key arity
-        for &i in &build_keys {
-            let v = row.get(i);
-            if v.is_null() {
-                continue 'build; // NULL never joins
-            }
-            key.push(v.clone());
+        if !joinable(row, build_keys, build_period) {
+            continue;
         }
-        table.entry(key).or_default().push(row);
+        let key = KeyRef {
+            row,
+            cols: build_keys,
+        };
+        let id = *ids.entry(key).or_insert_with(|| {
+            buckets.push([Vec::new(), Vec::new()]);
+            buckets.len() - 1
+        });
+        buckets[id][build_slot].push(row);
+    }
+    let (probe_rows, probe_keys, probe_period) = probe;
+    for (n, row) in probe_rows.iter().enumerate() {
+        if let Some(ctx) = ctx {
+            if (n as u64 + 1).is_multiple_of(CANCEL_CHECK_INTERVAL) {
+                ctx.check()?;
+            }
+        }
+        if !joinable(row, probe_keys, probe_period) {
+            continue;
+        }
+        let key = KeyRef {
+            row,
+            cols: probe_keys,
+        };
+        if let Some(&id) = ids.get(&key) {
+            buckets[id][1 - build_slot].push(row);
+        }
     }
 
     let mut out = Vec::new();
     let mut pairs = 0u64;
-    'probe: for row in probe {
-        let mut key = Vec::with_capacity(probe_keys.len());
-        for &i in &probe_keys {
-            let v = row.get(i);
-            if v.is_null() {
-                continue 'probe;
+    let mut emit = |l: &Row, r: &Row| -> Result<(), String> {
+        if let Some(ctx) = ctx {
+            pairs += 1;
+            if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
+                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
+                ctx.check()?;
             }
-            key.push(v.clone());
         }
-        if let Some(matches) = table.get(&key) {
-            for m in matches {
-                if let Some(ctx) = ctx {
-                    pairs += 1;
-                    if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                        ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                        ctx.check()?;
+        let joined = l.concat(r);
+        if residual.iter().all(|c| eval_predicate(c, &joined)) {
+            out.push(joined);
+        }
+        Ok(())
+    };
+    for [l_rows, r_rows] in &mut buckets {
+        match overlap {
+            Some((lts, lte, rts, rte)) => {
+                l_rows.sort_unstable_by_key(|r| r.int(lts));
+                r_rows.sort_unstable_by_key(|r| r.int(rts));
+                try_sweep_join_presorted(l_rows, r_rows, (lts, lte), (rts, rte), &mut emit)?;
+            }
+            None => {
+                for &l in l_rows.iter() {
+                    for &r in r_rows.iter() {
+                        emit(l, r)?;
                     }
-                }
-                let joined = if build_left {
-                    m.concat(row)
-                } else {
-                    row.concat(m)
-                };
-                if eval_predicate(condition, &joined) {
-                    out.push(joined);
                 }
             }
         }
@@ -1389,8 +1476,9 @@ mod tests {
     #[test]
     fn equi_keys_beat_the_sweep_under_auto() {
         // Equality conjuncts present: hash is the selective choice even
-        // with fresh indexes on both sides — the sweep would enumerate all
-        // temporally co-valid pairs before the equality filter.
+        // with fresh indexes on both sides — it sweeps each key's bucket,
+        // visiting only key-matching overlapping pairs, while the global
+        // sweep visits every overlapping pair across all keys.
         let c = works_catalog();
         let indexes = IndexCatalog::build_all(&c);
         let plan = equi_overlap_self_join_plan();
@@ -1405,6 +1493,76 @@ mod tests {
             stats.get("IndexSweepJoin").is_none() && stats.get("SweepJoin").is_none(),
             "Auto must pick hash over the sweep for equi joins: {stats:?}"
         );
+    }
+
+    #[test]
+    fn hash_join_visits_only_key_matching_overlapping_pairs() {
+        let c = works_catalog();
+        let rows = c.get("works").unwrap().rows();
+        let expected = rows
+            .iter()
+            .flat_map(|l| rows.iter().map(move |r| (l, r)))
+            .filter(|(l, r)| l.get(1) == r.get(1) && l.int(2) < r.int(3) && r.int(2) < l.int(3))
+            .count() as u64;
+        let account = Arc::new(obs::ResourceAccount::default());
+        let token = Arc::new(obs::CancelToken::default());
+        token.arm(None, None, None);
+        let engine = Engine::new().with_context(ExecContext::new(Arc::clone(&account), token));
+        let mut stats = ExecStats::default();
+        let out = engine
+            .execute_with_stats(&equi_overlap_self_join_plan(), &c, &mut stats)
+            .unwrap();
+        assert_eq!(stats.get("HashJoin"), Some((1, expected)));
+        assert_eq!(out.len() as u64, expected);
+        // No residual: every visited pair is emitted.
+        assert_eq!(account.usage().join_pairs, expected);
+    }
+
+    #[test]
+    fn hash_join_skips_null_periods_and_touching_intervals() {
+        let schema = Schema::of(&[
+            ("k", SqlType::Int),
+            ("ts", SqlType::Int),
+            ("te", SqlType::Int),
+        ]);
+        let mut t = Table::new(schema.clone());
+        t.push(row![1, 0, 5]);
+        t.push(row![1, 5, 9]); // touches [0,5) and [9,12): joins only itself
+        t.push(row![1, 9, 12]);
+        t.push(Row::new(vec![Value::Int(1), Value::Null, Value::Int(7)]));
+        let mut c = Catalog::new();
+        c.register("t", t);
+        let cond = Expr::col(0)
+            .eq(Expr::col(3))
+            .and(Expr::col(1).lt(Expr::col(5)))
+            .and(Expr::col(4).lt(Expr::col(2)));
+        let plan = Plan::scan("t", schema.clone()).join(Plan::scan("t", schema), cond);
+        let mut stats = ExecStats::default();
+        let out = Engine::new()
+            .execute_with_stats(&plan, &c, &mut stats)
+            .unwrap();
+        assert!(stats.get("HashJoin").is_some(), "{stats:?}");
+        let nested = Engine::new()
+            .execute(&plan_with_algo(&plan, JoinAlgo::NestedLoop), &c)
+            .unwrap();
+        assert_eq!(out.canonicalized(), nested.canonicalized());
+        // Each non-NULL interval overlaps only itself.
+        assert_eq!(out.len(), 3);
+    }
+
+    fn plan_with_algo(plan: &Plan, algo: JoinAlgo) -> Plan {
+        let PlanNode::Join {
+            left,
+            right,
+            condition,
+            ..
+        } = &plan.node
+        else {
+            panic!("not a join")
+        };
+        (**left)
+            .clone()
+            .join_with((**right).clone(), condition.clone(), algo)
     }
 
     #[test]

@@ -164,6 +164,9 @@ mod tests {
 
     #[test]
     fn disabled_profiling_is_inert() {
+        // The profiling switch is process-global; serialize with every
+        // other test that flips it.
+        let _guard = crate::testing::serial_guard();
         set_profiling(false);
         reset_profile();
         {
@@ -174,6 +177,9 @@ mod tests {
 
     #[test]
     fn self_time_excludes_children_and_paths_nest() {
+        // The profiling switch is process-global; serialize with every
+        // other test that flips it.
+        let _guard = crate::testing::serial_guard();
         set_profiling(true);
         reset_profile();
         {
@@ -211,6 +217,9 @@ mod tests {
 
     #[test]
     fn sibling_frames_fold_into_one_path() {
+        // The profiling switch is process-global; serialize with every
+        // other test that flips it.
+        let _guard = crate::testing::serial_guard();
         set_profiling(true);
         reset_profile();
         {

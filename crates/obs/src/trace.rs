@@ -283,6 +283,9 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        // The tracing switch is process-global; serialize with every
+        // other test that flips it.
+        let _guard = crate::testing::serial_guard();
         set_tracing(false);
         reset_thread_trace();
         {
@@ -295,6 +298,9 @@ mod tests {
 
     #[test]
     fn spans_assemble_into_a_tree() {
+        // The tracing switch is process-global; serialize with every
+        // other test that flips it.
+        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {
@@ -329,6 +335,9 @@ mod tests {
 
     #[test]
     fn sibling_order_is_enter_order() {
+        // The tracing switch is process-global; serialize with every
+        // other test that flips it.
+        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {
@@ -344,6 +353,9 @@ mod tests {
 
     #[test]
     fn ring_buffer_is_bounded() {
+        // The tracing switch is process-global; serialize with every
+        // other test that flips it.
+        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {

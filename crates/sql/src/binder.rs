@@ -9,7 +9,7 @@
 //! translation of Figure 4.
 
 use crate::ast::*;
-use algebra::{AggExpr, AggFunc, BinOp, Expr, Plan, SnapshotPlan};
+use algebra::{AggExpr, AggFunc, BinOp, Expr, Plan, PlanNode, SnapshotNode, SnapshotPlan};
 use storage::{Catalog, Column, Schema, SqlType};
 
 /// The result of binding a statement.
@@ -89,8 +89,34 @@ impl QB {
         }
     }
 
+    /// Selection. A selection directly over a join folds into the join's
+    /// condition instead: σ_p(R ⋈_c S) = R ⋈_{c ∧ p} S holds under bag
+    /// semantics (a pair survives both sides exactly when `c` and `p` are
+    /// both TRUE) and therefore on every snapshot, so the fold preserves
+    /// snapshot reducibility; the SQL layer has only inner joins. The
+    /// engine then sees the WHERE clause's cross-side equalities as hash
+    /// keys instead of filtering a join's full output.
     fn filter(self, predicate: Expr) -> QB {
         match self {
+            QB::Plain(Plan {
+                node:
+                    PlanNode::Join {
+                        left,
+                        right,
+                        condition,
+                        algo,
+                    },
+                ..
+            }) => QB::Plain(left.join_with(*right, conjoin(condition, predicate), algo)),
+            QB::Snap(SnapshotPlan {
+                node:
+                    SnapshotNode::Join {
+                        left,
+                        right,
+                        condition,
+                    },
+                ..
+            }) => QB::Snap(left.join(*right, conjoin(condition, predicate))),
             QB::Plain(p) => QB::Plain(p.filter(predicate)),
             QB::Snap(p) => QB::Snap(p.filter(predicate)),
         }
@@ -132,6 +158,15 @@ impl QB {
             QB::Plain(p) => Ok(QB::Plain(p.aggregate(group_cols, aggs)?)),
             QB::Snap(p) => Ok(QB::Snap(p.aggregate(group_cols, aggs)?)),
         }
+    }
+}
+
+/// `c AND p`, dropping the `TRUE` a comma `FROM` list joins on.
+fn conjoin(c: Expr, p: Expr) -> Expr {
+    if c == Expr::lit(true) {
+        p
+    } else {
+        c.and(p)
     }
 }
 
@@ -683,7 +718,6 @@ fn expect_bool(e: &Expr, schema: &Schema, clause: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::parse_statement;
-    use algebra::{PlanNode, SnapshotNode};
     use storage::{row, Table};
 
     fn catalog() -> Catalog {
@@ -877,6 +911,110 @@ mod tests {
             panic!()
         };
         assert_eq!(window, crate::ast::SeqWindow::Between(3, 9));
+    }
+
+    /// Whether any `Filter` sits directly on a `Join`, in either plan kind.
+    fn filter_on_join(b: &BoundStatement) -> bool {
+        fn plain(p: &Plan) -> bool {
+            let here = matches!(&p.node, PlanNode::Filter { input, .. }
+                if matches!(input.node, PlanNode::Join { .. }));
+            here || p.children().into_iter().any(plain)
+        }
+        fn snap(p: &SnapshotPlan) -> bool {
+            match &p.node {
+                SnapshotNode::Filter { input, .. }
+                    if matches!(input.node, SnapshotNode::Join { .. }) =>
+                {
+                    true
+                }
+                SnapshotNode::Access { .. } => false,
+                SnapshotNode::Filter { input, .. }
+                | SnapshotNode::Project { input, .. }
+                | SnapshotNode::Aggregate { input, .. } => snap(input),
+                SnapshotNode::Join { left, right, .. }
+                | SnapshotNode::Union { left, right }
+                | SnapshotNode::ExceptAll { left, right } => snap(left) || snap(right),
+            }
+        }
+        match b {
+            BoundStatement::Query(p) => plain(p),
+            BoundStatement::Snapshot { plan, .. } => snap(plan),
+        }
+    }
+
+    #[test]
+    fn where_over_a_join_folds_into_its_condition() {
+        let predicates = [
+            // NULL literals, OR across sides, one-sided conjuncts.
+            "w.skill = a.skill AND w.name <> a.mach",
+            "w.skill = a.skill OR w.name = NULL",
+            "w.name = 'Ann' AND a.mach IS NOT NULL",
+            "(w.skill = a.skill OR a.mach = w.name) AND w.name <> 'Joe'",
+        ];
+        let froms = [
+            "works w JOIN assign a ON w.skill = a.skill",
+            "works w, assign a",
+        ];
+        let wraps = [
+            ("SEQ VT (", ")"),
+            ("SEQ VT AS OF 5 (", ")"),
+            ("SEQ VT BETWEEN 2 AND 9 (", ")"),
+            ("", ""),
+        ];
+        for p in predicates {
+            for from in froms {
+                for (open, close) in wraps {
+                    let sql = format!("{open}SELECT w.name, a.mach FROM {from} WHERE {p}{close}");
+                    let b = bind(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                    assert!(!filter_on_join(&b), "Filter left on a Join: {sql}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folded_condition_keeps_on_and_where_conjuncts() {
+        let b =
+            bind("SELECT w.name FROM works w JOIN assign a ON w.skill = a.skill WHERE a.ts > 1")
+                .unwrap();
+        let BoundStatement::Query(plan) = b else {
+            panic!()
+        };
+        let PlanNode::Project { input, .. } = &plan.node else {
+            panic!("expected project on top")
+        };
+        let PlanNode::Join { condition, .. } = &input.node else {
+            panic!("expected the join under the projection: {plan}")
+        };
+        // ON conjunct first, then the WHERE conjunct (assign.ts is column 6).
+        let want =
+            Expr::col(1)
+                .eq(Expr::col(5))
+                .and(Expr::binary(BinOp::Gt, Expr::col(6), Expr::lit(1)));
+        assert_eq!(condition, &want);
+
+        // A comma list joins on TRUE, which the fold drops.
+        let b = bind("SELECT w.name FROM works w, assign a WHERE w.skill = a.skill").unwrap();
+        let BoundStatement::Query(plan) = b else {
+            panic!()
+        };
+        let PlanNode::Project { input, .. } = &plan.node else {
+            panic!()
+        };
+        let PlanNode::Join { condition, .. } = &input.node else {
+            panic!()
+        };
+        assert_eq!(condition, &Expr::col(1).eq(Expr::col(5)));
+
+        // WHERE over anything else stays a Filter.
+        let b = bind("SELECT name FROM works WHERE ts > 1").unwrap();
+        let BoundStatement::Query(plan) = b else {
+            panic!()
+        };
+        let PlanNode::Project { input, .. } = &plan.node else {
+            panic!()
+        };
+        assert!(matches!(input.node, PlanNode::Filter { .. }));
     }
 
     #[test]

@@ -302,7 +302,13 @@ mod tests {
                 .measurement_time(Duration::from_millis(5));
             g.throughput(Throughput::Elements(10));
             g.bench_with_input(BenchmarkId::new("f", 10), &10u64, |b, &n| {
-                b.iter(|| (0..n).sum::<u64>());
+                // `black_box` keeps the sum from folding to a constant, so each
+                // iteration does measurable work.
+                b.iter(|| {
+                    (0..std::hint::black_box(n))
+                        .map(std::hint::black_box)
+                        .sum::<u64>()
+                });
             });
             g.finish();
         }
