@@ -793,16 +793,17 @@ impl Engine {
             | JoinAlgo::MergeInterval
                 if !equi.is_empty() =>
             {
-                // Conjuncts the kernel enforces by construction (hashed
-                // keys; the overlap its bucket sweep guarantees) are not
-                // evaluated again.
-                let swept = overlap.map(|o| overlap_conjuncts(o, l_schema));
+                // Hashing proves a key conjunct for every pair it pairs up,
+                // except on `DOUBLE` keys, whose buckets are only a superset
+                // (`NaN` shares a bucket with itself). The bucket sweep is a
+                // superset too (exact only for non-empty intervals), so the
+                // overlap conjuncts stay in the residual.
                 let residual: Vec<&Expr> = conjuncts
                     .iter()
                     .copied()
                     .filter(|c| {
-                        equi_key(c, l_schema, r_schema).is_none()
-                            && !swept.as_ref().is_some_and(|s| s.contains(c))
+                        !equi_key(c, l_schema, r_schema)
+                            .is_some_and(|(li, _)| l_schema.column(li).ty != SqlType::Double)
                     })
                     .collect();
                 let out = hash_join(left, right, &equi, overlap, &residual, self.ctx.as_ref())?;
@@ -917,10 +918,8 @@ fn collect_conjuncts(e: &Expr) -> Vec<&Expr> {
 }
 
 /// A cross-side `left_col = right_col` conjunct as local `(left, right)`
-/// column indices. Only same-typed, non-`DOUBLE` pairs qualify: for them
-/// hashing `Value`s agrees with SQL `=` (a `DOUBLE` key would hash `-0.0`
-/// and `0.0` apart and `NaN` together), so the hash kernel may treat the
-/// conjunct as proven for every pair it visits.
+/// column indices. Only same-typed pairs qualify: SQL `=` matches `INT`
+/// against `DOUBLE` numerically, which hashing `Value`s cannot.
 fn equi_key(c: &Expr, l: &Schema, r: &Schema) -> Option<(usize, usize)> {
     let Expr::Binary {
         op: BinOp::Eq,
@@ -942,7 +941,7 @@ fn equi_key(c: &Expr, l: &Schema, r: &Schema) -> Option<(usize, usize)> {
         return None;
     };
     let ty = l.column(li).ty;
-    (ri < r.arity() && r.column(ri).ty == ty && ty != SqlType::Double).then_some((li, ri))
+    (ri < r.arity() && r.column(ri).ty == ty).then_some((li, ri))
 }
 
 /// Detects the `overlaps` pattern produced by the rewriter:
@@ -958,27 +957,37 @@ fn overlap_pattern(
     if la < 2 || ra < 2 {
         return None;
     }
-    let o = (la - 2, la - 1, ra - 2, ra - 1);
+    let (lts, lte, rts, rte) = (la - 2, la - 1, ra - 2, ra - 1);
     let int = |s: &Schema, i: usize| s.column(i).ty == SqlType::Int;
-    let typed = int(l, o.0) && int(l, o.1) && int(r, o.2) && int(r, o.3);
-    (typed
-        && overlap_conjuncts(o, l)
-            .iter()
-            .all(|p| conjuncts.contains(&p)))
-    .then_some(o)
-}
-
-/// The two conjuncts of the overlap pattern `o` over `left ++ right`.
-fn overlap_conjuncts((lts, lte, rts, rte): (usize, usize, usize, usize), l: &Schema) -> [Expr; 2] {
-    let la = l.arity();
-    [
-        Expr::col(lts).lt(Expr::col(la + rte)),
-        Expr::col(la + rts).lt(Expr::col(lte)),
-    ]
+    if !(int(l, lts) && int(l, lte) && int(r, rts) && int(r, rte)) {
+        return None;
+    }
+    let mut has_l_lt_r = false;
+    let mut has_r_lt_l = false;
+    // lint:allow(cancellation) bounded by predicate size
+    for c in conjuncts {
+        if let Expr::Binary {
+            op: BinOp::Lt,
+            left,
+            right,
+        } = c
+        {
+            if let (Expr::Col(i), Expr::Col(j)) = (left.as_ref(), right.as_ref()) {
+                if *i == lts && *j == la + rte {
+                    has_l_lt_r = true;
+                }
+                if *i == la + rts && *j == lte {
+                    has_r_lt_l = true;
+                }
+            }
+        }
+    }
+    (has_l_lt_r && has_r_lt_l).then_some((lts, lte, rts, rte))
 }
 
 /// A row's join key, borrowed: hashes and compares the values at `cols`,
-/// so neither side clones key values.
+/// so neither side clones key values. `-0.0` is folded into `0.0` so that
+/// every pair SQL `=` matches shares a bucket.
 struct KeyRef<'a> {
     row: &'a Row,
     cols: &'a [usize],
@@ -988,7 +997,7 @@ impl std::hash::Hash for KeyRef<'_> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // lint:allow(cancellation) bounded by join-key arity
         for &c in self.cols {
-            self.row.get(c).hash(state);
+            key_value(self.row.get(c)).hash(state);
         }
     }
 }
@@ -998,15 +1007,24 @@ impl PartialEq for KeyRef<'_> {
         self.cols
             .iter()
             .zip(other.cols)
-            .all(|(&a, &b)| self.row.get(a) == other.row.get(b))
+            .all(|(&a, &b)| key_value(self.row.get(a)) == key_value(other.row.get(b)))
     }
 }
 
 impl Eq for KeyRef<'_> {}
 
+static POSITIVE_ZERO: Value = Value::Double(0.0);
+
+fn key_value(v: &Value) -> &Value {
+    match v {
+        Value::Double(d) if *d == 0.0 => &POSITIVE_ZERO,
+        v => v,
+    }
+}
+
 /// Whether a row can join at all: no NULL key (NULL never equals), and,
-/// when the bucket sweep enforces overlap, an `INT` period (a NULL
-/// endpoint makes the overlap test unknown).
+/// when the condition requires overlap, an `INT` period (a NULL endpoint
+/// makes the overlap test unknown).
 fn joinable(row: &Row, keys: &[usize], period: Option<(usize, usize)>) -> bool {
     keys.iter().all(|&k| !row.get(k).is_null())
         && period
@@ -1018,9 +1036,10 @@ fn joinable(row: &Row, keys: &[usize], period: Option<(usize, usize)>) -> bool {
 /// their key (rows whose key the build side lacks go nowhere). Each bucket
 /// then pairs its two halves: with an overlap pattern `(lts, lte, rts,
 /// rte)` both halves are sorted by begin and swept, so only pairs that
-/// match on the key *and* overlap are visited; without one, every pair is.
-/// A visited pair is concatenated and kept when the `residual` conjuncts
-/// (those the keys and the sweep do not already prove) all hold.
+/// match on the key *and* overlap are visited (plus, for empty or inverted
+/// intervals, some that do not); without one, every pair is. A visited pair
+/// is concatenated and kept when the `residual` conjuncts (all but the
+/// keys hashing proves) hold.
 fn hash_join(
     left: &[Row],
     right: &[Row],
@@ -1514,7 +1533,7 @@ mod tests {
             .unwrap();
         assert_eq!(stats.get("HashJoin"), Some((1, expected)));
         assert_eq!(out.len() as u64, expected);
-        // No residual: every visited pair is emitted.
+        // Valid periods: every visited pair overlaps and is emitted.
         assert_eq!(account.usage().join_pairs, expected);
     }
 

@@ -3,9 +3,11 @@
 //! On inputs built to stress that kernel (skewed keys, NULL keys, bag
 //! duplicates, touching half-open periods, two-column keys, residual
 //! predicates beyond keys and overlap), the hash route must equal the
-//! nested-loop route and the point-wise oracle.
+//! nested-loop route and the point-wise oracle. Plain statements over
+//! non-period tables (empty and inverted intervals, `DOUBLE` keys) must
+//! equal the nested-loop route.
 
-use snapshot_semantics::algebra::JoinAlgo;
+use snapshot_semantics::algebra::{JoinAlgo, Plan, PlanNode};
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::engine::{Engine, ExecContext, ExecStats};
 use snapshot_semantics::index::IndexCatalog;
@@ -267,6 +269,109 @@ fn residuals_beyond_keys_and_overlap() {
             "{name}: empty result tests nothing"
         );
     }
+}
+
+/// Binds a plain `SELECT` over `catalog`, runs it as the engine chooses
+/// and again with every join forced to the nested loop, asserts the
+/// engine chose `route` and both agree, and returns the result size.
+fn check_plain(sql: &str, catalog: &Catalog, route: &str) -> usize {
+    fn nested_loop(plan: &mut Plan) {
+        match &mut plan.node {
+            PlanNode::Project { input, .. } | PlanNode::Filter { input, .. } => nested_loop(input),
+            PlanNode::Join {
+                left, right, algo, ..
+            } => {
+                *algo = JoinAlgo::NestedLoop;
+                nested_loop(left);
+                nested_loop(right);
+            }
+            _ => {}
+        }
+    }
+    let BoundStatement::Query(plan) =
+        bind_statement(&parse_statement(sql).unwrap(), catalog).unwrap()
+    else {
+        panic!("{sql}: expected a plain query")
+    };
+    let mut stats = ExecStats::default();
+    let got = Engine::new()
+        .execute_with_stats(&plan, catalog, &mut stats)
+        .unwrap()
+        .canonicalized();
+    assert!(
+        stats.get(route).is_some(),
+        "{sql}: {route} not taken: {stats:?}"
+    );
+    let mut reference = plan.clone();
+    nested_loop(&mut reference);
+    let mut stats = ExecStats::default();
+    let want = Engine::new()
+        .execute_with_stats(&reference, catalog, &mut stats)
+        .unwrap()
+        .canonicalized();
+    assert!(stats.get("NestedLoopJoin").is_some(), "{sql}: {stats:?}");
+    assert_eq!(got, want, "{sql}: {route} vs nested loop");
+    got.len()
+}
+
+#[test]
+fn empty_and_inverted_intervals_outside_periods() {
+    // A plain table whose trailing INT columns look like a period but are
+    // not validated as one: the overlap pattern still matches, and empty
+    // or inverted intervals must not join where the predicate says no.
+    let schema = Schema::of(&[
+        ("k", SqlType::Int),
+        ("lo", SqlType::Int),
+        ("hi", SqlType::Int),
+    ]);
+    let mut t = Table::new(schema);
+    for (lo, hi) in [(5, 2), (3, 10), (0, 0), (0, 1), (1, 10), (7, 7), (9, 4)] {
+        t.push(Row::new(vec![
+            Value::Int(1),
+            Value::Int(lo),
+            Value::Int(hi),
+        ]));
+    }
+    let mut c = Catalog::new();
+    c.register("t", t);
+    let sql = "SELECT * FROM t x JOIN t y ON x.k = y.k AND x.lo < y.hi AND y.lo < x.hi";
+    // Nonempty results: (3,10), (0,1) and (1,10) overlap among themselves,
+    // and the inverted (5,2) meets (1,10) under the predicate as written.
+    assert!(check_plain(sql, &c, "HashJoin") > 0);
+    let comma = "SELECT * FROM t x, t y WHERE x.k = y.k AND x.lo < y.hi AND y.lo < x.hi";
+    check_plain(comma, &c, "HashJoin");
+}
+
+#[test]
+fn double_keys_hash_and_match_sql_equality() {
+    // `-0.0 = 0.0` holds in SQL but the two differ bit-wise; `NaN` never
+    // equals anything, itself included; NULL never joins.
+    let schema = Schema::of(&[("d", SqlType::Double), ("v", SqlType::Int)]);
+    let keys = [0.0, -0.0, 1.5, f64::NAN, 2.0, 1.5];
+    let mut t = Table::new(schema.clone());
+    for (n, &d) in keys.iter().enumerate() {
+        t.push(Row::new(vec![Value::Double(d), Value::Int(n as i64)]));
+    }
+    t.push(Row::new(vec![Value::Null, Value::Int(9)]));
+    let mut c = Catalog::new();
+    c.register("a", t.clone());
+    c.register("b", t);
+    // ±0 pair four ways, 1.5 four ways, 2.0 once.
+    let n = check_plain("SELECT a.v, b.v FROM a JOIN b ON a.d = b.d", &c, "HashJoin");
+    assert_eq!(n, 9);
+    // INT = DOUBLE compares numerically, which a hash on `Value`s cannot.
+    let ints = Schema::of(&[("i", SqlType::Int)]);
+    let mut i = Table::new(ints);
+    for x in [0, 1, 2] {
+        i.push(Row::new(vec![Value::Int(x)]));
+    }
+    c.register("i", i);
+    let n = check_plain(
+        "SELECT a.v, i.i FROM a JOIN i ON a.d = i.i",
+        &c,
+        "NestedLoopJoin",
+    );
+    assert_eq!(n, 3);
 }
 
 /// The count guard: the paper's agg-join query visits only key-matching,
