@@ -266,17 +266,31 @@ impl Expr {
     /// Rewrites every column reference through `f` (used when plans splice
     /// schemas together, e.g. shifting the right side of a join).
     pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> Expr {
+        self.replace_columns(&|i| Expr::Col(f(i)))
+    }
+
+    /// Replaces every column reference `#i` by `inputs[i]`: the expression
+    /// over a projection's output, restated over the projection's input
+    /// (`inputs` are the projection's expressions).
+    ///
+    /// # Panics
+    /// Panics when a column index is out of range for `inputs`.
+    pub fn substitute(&self, inputs: &[Expr]) -> Expr {
+        self.replace_columns(&|i| inputs[i].clone())
+    }
+
+    fn replace_columns(&self, f: &impl Fn(usize) -> Expr) -> Expr {
         match self {
-            Expr::Col(i) => Expr::Col(f(*i)),
+            Expr::Col(i) => f(*i),
             Expr::Lit(v) => Expr::Lit(v.clone()),
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
-                left: Box::new(left.map_columns(f)),
-                right: Box::new(right.map_columns(f)),
+                left: Box::new(left.replace_columns(f)),
+                right: Box::new(right.replace_columns(f)),
             },
-            Expr::Not(e) => Expr::Not(Box::new(e.map_columns(f))),
+            Expr::Not(e) => Expr::Not(Box::new(e.replace_columns(f))),
             Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.map_columns(f)),
+                expr: Box::new(expr.replace_columns(f)),
                 negated: *negated,
             },
             Expr::Case {
@@ -285,21 +299,21 @@ impl Expr {
             } => Expr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, r)| (c.map_columns(f), r.map_columns(f)))
+                    .map(|(c, r)| (c.replace_columns(f), r.replace_columns(f)))
                     .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(e.map_columns(f))),
+                else_expr: else_expr.as_ref().map(|e| Box::new(e.replace_columns(f))),
             },
             Expr::Like {
                 expr,
                 pattern,
                 negated,
             } => Expr::Like {
-                expr: Box::new(expr.map_columns(f)),
+                expr: Box::new(expr.replace_columns(f)),
                 pattern: pattern.clone(),
                 negated: *negated,
             },
-            Expr::Least(es) => Expr::Least(es.iter().map(|e| e.map_columns(f)).collect()),
-            Expr::Greatest(es) => Expr::Greatest(es.iter().map(|e| e.map_columns(f)).collect()),
+            Expr::Least(es) => Expr::Least(es.iter().map(|e| e.replace_columns(f)).collect()),
+            Expr::Greatest(es) => Expr::Greatest(es.iter().map(|e| e.replace_columns(f)).collect()),
         }
     }
 }
@@ -517,6 +531,39 @@ mod tests {
         let e = Expr::col(0).eq(Expr::col(2));
         let shifted = e.map_columns(&|i| i + 10);
         assert_eq!(shifted, Expr::col(10).eq(Expr::col(12)));
+    }
+
+    #[test]
+    fn substitute_inlines_projection_expressions() {
+        // Over Π[#2, #0 + 1, GREATEST(#1, #3)]: (#1 * #0) AND #2 IS NULL.
+        let inputs = vec![
+            Expr::col(2),
+            Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(1)),
+            Expr::Greatest(vec![Expr::col(1), Expr::col(3)]),
+        ];
+        let e = Expr::binary(
+            BinOp::And,
+            Expr::binary(BinOp::Mul, Expr::col(1), Expr::col(0)),
+            Expr::IsNull {
+                expr: Box::new(Expr::col(2)),
+                negated: false,
+            },
+        );
+        let want = Expr::binary(
+            BinOp::And,
+            Expr::binary(
+                BinOp::Mul,
+                Expr::binary(BinOp::Add, Expr::col(0), Expr::lit(1)),
+                Expr::col(2),
+            ),
+            Expr::IsNull {
+                expr: Box::new(Expr::Greatest(vec![Expr::col(1), Expr::col(3)])),
+                negated: false,
+            },
+        );
+        assert_eq!(e.substitute(&inputs), want);
+        // Literals and column-free expressions are unchanged.
+        assert_eq!(Expr::lit(7).substitute(&inputs), Expr::lit(7));
     }
 
     #[test]

@@ -257,6 +257,13 @@ impl Plan {
     }
 
     /// Projection; output columns named by `names` (or synthesized).
+    ///
+    /// Two shapes build no new node. An identity projection (`#0..#n-1`
+    /// over an `n`-column input) keeps the input and adopts only the new
+    /// column names. A projection over a projection composes into one, the
+    /// outer expressions restated over the inner input by
+    /// [`Expr::substitute`], unless that would evaluate a non-trivial inner
+    /// expression more than once per row.
     pub fn project(self, exprs: Vec<Expr>, names: Vec<String>) -> Result<Plan, String> {
         assert_eq!(exprs.len(), names.len(), "one name per projection");
         let mut cols = Vec::with_capacity(exprs.len());
@@ -264,13 +271,34 @@ impl Plan {
             let ty = e.infer_type(&self.schema)?;
             cols.push(Column::new(n.clone(), ty));
         }
-        Ok(Plan {
-            node: PlanNode::Project {
-                input: Box::new(self),
-                exprs,
-            },
-            schema: Schema::new(cols),
-        })
+        let schema = Schema::new(cols);
+        let identity = exprs.len() == self.schema.arity()
+            && exprs.iter().enumerate().all(|(i, e)| *e == Expr::Col(i));
+        if identity {
+            return Ok(Plan {
+                node: self.node,
+                schema,
+            });
+        }
+        match self.node {
+            PlanNode::Project {
+                input,
+                exprs: inner,
+            } if composes(&inner, &exprs) => {
+                let composed = exprs.iter().map(|e| e.substitute(&inner)).collect();
+                input.project(composed, names)
+            }
+            node => Ok(Plan {
+                node: PlanNode::Project {
+                    input: Box::new(Plan {
+                        node,
+                        schema: self.schema,
+                    }),
+                    exprs,
+                },
+                schema,
+            }),
+        }
     }
 
     /// Projection keeping input column names where the expression is a bare
@@ -683,6 +711,26 @@ fn check_union_compatible(a: &Schema, b: &Schema) -> Result<(), String> {
     Ok(())
 }
 
+/// Whether `outer` (over the output of a projection by `inner`) may be
+/// substituted into `inner`: every inner expression other than a column or
+/// a literal is referenced at most once, so the composed projection never
+/// evaluates it twice. `outer` must already type-check against the inner
+/// projection's output.
+fn composes(inner: &[Expr], outer: &[Expr]) -> bool {
+    let mut refs = Vec::new();
+    for e in outer {
+        e.referenced_columns(&mut refs);
+    }
+    let mut uses = vec![0usize; inner.len()];
+    for i in refs {
+        uses[i] += 1;
+    }
+    inner
+        .iter()
+        .zip(uses)
+        .all(|(e, n)| n <= 1 || matches!(e, Expr::Col(_) | Expr::Lit(_)))
+}
+
 fn assert_period_last(schema: &Schema) {
     let n = schema.arity();
     assert!(
@@ -716,6 +764,91 @@ mod tests {
             .unwrap();
         assert_eq!(p.schema.arity(), 1);
         assert_eq!(p.schema.column(0).name, "name");
+    }
+
+    fn project_count(p: &Plan) -> usize {
+        usize::from(matches!(p.node, PlanNode::Project { .. }))
+            + p.children().into_iter().map(project_count).sum::<usize>()
+    }
+
+    #[test]
+    fn identity_projection_keeps_the_input_and_renames() {
+        let names: Vec<String> = ["a", "b", "c", "d"].map(String::from).to_vec();
+        let p = Plan::scan("works", works_schema())
+            .project((0..4).map(Expr::Col).collect(), names)
+            .unwrap();
+        assert!(matches!(p.node, PlanNode::Scan { .. }), "{p}");
+        let got: Vec<&str> = p.schema.columns().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(got, ["a", "b", "c", "d"]);
+        assert_eq!(p.schema.column(2).ty, SqlType::Int);
+        // A permutation or a prefix is not the identity.
+        let swapped = Plan::scan("works", works_schema())
+            .project(
+                vec![Expr::col(1), Expr::col(0), Expr::col(2), Expr::col(3)],
+                ["a", "b", "c", "d"].map(String::from).to_vec(),
+            )
+            .unwrap();
+        assert_eq!(project_count(&swapped), 1);
+    }
+
+    #[test]
+    fn stacked_projections_compose() {
+        let inner = Plan::scan("works", works_schema())
+            .project(
+                vec![
+                    Expr::col(0),
+                    Expr::Greatest(vec![Expr::col(2), Expr::lit(5)]),
+                    Expr::col(3),
+                ],
+                ["n", "b", "e"].map(String::from).to_vec(),
+            )
+            .unwrap();
+        let outer = inner
+            .clone()
+            .project(
+                vec![Expr::col(1), Expr::col(0), Expr::col(0)],
+                ["b", "n", "n2"].map(String::from).to_vec(),
+            )
+            .unwrap();
+        assert_eq!(project_count(&outer), 1, "{outer}");
+        let PlanNode::Project { input, exprs } = &outer.node else {
+            panic!("{outer}")
+        };
+        assert!(matches!(input.node, PlanNode::Scan { .. }));
+        assert_eq!(
+            exprs,
+            &vec![
+                Expr::Greatest(vec![Expr::col(2), Expr::lit(5)]),
+                Expr::col(0),
+                Expr::col(0)
+            ]
+        );
+        assert_eq!(outer.schema.column(0).ty, SqlType::Int);
+
+        // GREATEST would be evaluated twice per row: the stack stays.
+        let twice = inner
+            .clone()
+            .project(
+                vec![Expr::binary(BinOp::Add, Expr::col(1), Expr::col(1))],
+                vec!["x".into()],
+            )
+            .unwrap();
+        assert_eq!(project_count(&twice), 2, "{twice}");
+
+        // Composing into an identity leaves the bare input.
+        let back = Plan::scan("works", works_schema())
+            .project(
+                vec![Expr::col(1), Expr::col(0), Expr::col(2), Expr::col(3)],
+                ["a", "b", "c", "d"].map(String::from).to_vec(),
+            )
+            .unwrap()
+            .project(
+                vec![Expr::col(1), Expr::col(0), Expr::col(2), Expr::col(3)],
+                ["w", "x", "y", "z"].map(String::from).to_vec(),
+            )
+            .unwrap();
+        assert!(matches!(back.node, PlanNode::Scan { .. }), "{back}");
+        assert_eq!(back.schema.column(0).name, "w");
     }
 
     #[test]

@@ -11,14 +11,18 @@
 //! where the count changes, and emit maximal constant segments. One sort per
 //! group: `O(n log n)` overall.
 
+use index::coalesce::emit_segments;
 use std::collections::HashMap;
-use storage::Row;
+use storage::{Row, Value};
 
 /// Coalesces a multiset of period rows.
 ///
 /// `rows` must carry the period in the last two (integer) columns; data
 /// columns are everything before. The output is canonically ordered (sorted
-/// rows), making the encoding unique per Definition 4.5.
+/// rows), making the encoding unique per Definition 4.5. Rows are grouped
+/// by their borrowed data columns, and only the distinct keys are sorted:
+/// each group's segments are emitted in time order, so visiting the groups
+/// in key order yields sorted output without sorting the rows.
 pub fn coalesce_rows(rows: &[Row], arity: usize) -> Vec<Row> {
     assert!(
         arity >= 2,
@@ -26,63 +30,23 @@ pub fn coalesce_rows(rows: &[Row], arity: usize) -> Vec<Row> {
     );
     let data_cols = arity - 2;
 
-    // Group rows by their data columns.
-    let mut groups: HashMap<Vec<storage::Value>, Vec<(i64, i64)>> = HashMap::new();
+    // Per group: +1 at each begin, −1 at each end, per duplicate interval.
+    let mut groups: HashMap<&[Value], Vec<(i64, i64)>> = HashMap::new();
     for r in rows {
         debug_assert_eq!(r.arity(), arity);
-        let key: Vec<storage::Value> = r.values()[..data_cols].to_vec();
-        groups
-            .entry(key)
-            .or_default()
-            .push((r.int(data_cols), r.int(data_cols + 1)));
+        let events = groups.entry(&r.values()[..data_cols]).or_default();
+        events.push((r.int(data_cols), 1));
+        events.push((r.int(data_cols + 1), -1));
     }
+    let mut groups: Vec<_> = groups.into_iter().collect();
+    groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
     let mut out: Vec<Row> = Vec::with_capacity(rows.len());
-    for (key, intervals) in groups {
-        // Events: +1 at begin, −1 at end, per duplicate interval.
-        let mut events: Vec<(i64, i64)> = Vec::with_capacity(intervals.len() * 2);
-        for (b, e) in intervals {
-            events.push((b, 1));
-            events.push((e, -1));
-        }
+    for (key, mut events) in groups {
         events.sort_unstable();
-
-        let mut depth: i64 = 0;
-        let mut seg_start: i64 = 0;
-        let mut i = 0usize;
-        while i < events.len() {
-            let t = events[i].0;
-            let mut delta = 0;
-            while i < events.len() && events[i].0 == t {
-                delta += events[i].1;
-                i += 1;
-            }
-            if delta == 0 {
-                continue; // equal opens and closes: multiplicity unchanged
-            }
-            if depth > 0 {
-                // Close the maximal segment [seg_start, t) at depth `depth`.
-                emit(&mut out, &key, seg_start, t, depth);
-            }
-            depth += delta;
-            seg_start = t;
-        }
-        debug_assert_eq!(depth, 0, "unbalanced interval events");
+        emit_segments(key, &events, &mut out);
     }
-    out.sort_unstable();
     out
-}
-
-fn emit(out: &mut Vec<Row>, key: &[storage::Value], b: i64, e: i64, mult: i64) {
-    debug_assert!(b < e && mult > 0);
-    let mut values = Vec::with_capacity(key.len() + 2);
-    values.extend_from_slice(key);
-    values.push(storage::Value::Int(b));
-    values.push(storage::Value::Int(e));
-    let row = Row::new(values);
-    for _ in 0..mult {
-        out.push(row.clone());
-    }
 }
 
 #[cfg(test)]
@@ -228,6 +192,92 @@ mod tests {
                     assert_ne!(w[0].2, w[1].2, "adjacent equal-multiplicity segments");
                 }
             }
+        }
+    }
+
+    /// The sort-based algorithm `coalesce_rows` replaced, kept as the
+    /// reference for its emission order: owned keys, groups emitted in hash
+    /// order, then one sort of the whole output.
+    fn sorted_reference(rows: &[Row], arity: usize) -> Vec<Row> {
+        let data = arity - 2;
+        let mut groups: HashMap<Vec<Value>, Vec<(i64, i64)>> = HashMap::new();
+        for r in rows {
+            groups
+                .entry(r.values()[..data].to_vec())
+                .or_default()
+                .push((r.int(data), r.int(data + 1)));
+        }
+        let mut out = Vec::new();
+        for (key, intervals) in groups {
+            let mut events: Vec<(i64, i64)> = Vec::new();
+            for (b, e) in intervals {
+                events.push((b, 1));
+                events.push((e, -1));
+            }
+            events.sort_unstable();
+            let (mut depth, mut seg_start, mut i) = (0i64, 0i64, 0usize);
+            while i < events.len() {
+                let t = events[i].0;
+                let mut delta = 0;
+                while i < events.len() && events[i].0 == t {
+                    delta += events[i].1;
+                    i += 1;
+                }
+                if delta == 0 {
+                    continue;
+                }
+                if depth > 0 {
+                    let mut values = key.clone();
+                    values.push(Value::Int(seg_start));
+                    values.push(Value::Int(t));
+                    for _ in 0..depth {
+                        out.push(Row::new(values.clone()));
+                    }
+                }
+                depth += delta;
+                seg_start = t;
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn emission_order_equals_sorted_reference() {
+        use rand_like::next;
+        let mut state = 0x5eed_u64;
+        for groups in [1u64, 16, 200] {
+            let mut rows = Vec::new();
+            for _ in 0..1500 {
+                let g = next(&mut state) % groups;
+                // Keys mix NULL, INT, and the two signed DOUBLE zeros, which
+                // are distinct keys that sort -0.0 first.
+                let k0 = if g % 7 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int(g as i64)
+                };
+                let k1 = Value::Double(if g.is_multiple_of(2) { 0.0 } else { -0.0 });
+                let b = (next(&mut state) % 60) as i64;
+                let e = b + 1 + (next(&mut state) % 9) as i64;
+                let row = |b: i64, e: i64| {
+                    Row::new(vec![k0.clone(), k1.clone(), Value::Int(b), Value::Int(e)])
+                };
+                rows.push(row(b, e));
+                match next(&mut state) % 4 {
+                    0 => rows.push(row(b, e)),     // duplicate
+                    1 => rows.push(row(e, e + 3)), // touching, after
+                    2 => rows.push(row(b - 2, b)), // touching, before
+                    _ => {}
+                }
+            }
+            let want = sorted_reference(&rows, 4);
+            assert_eq!(coalesce_rows(&rows, 4), want, "{groups} groups");
+            assert_eq!(
+                index::CoalesceIndex::build(&rows, 4).coalesced_rows(),
+                want,
+                "{groups} groups (accelerator)"
+            );
         }
     }
 

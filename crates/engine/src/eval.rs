@@ -4,12 +4,43 @@ use algebra::{BinOp, Expr};
 use std::cmp::Ordering;
 use storage::{Row, Value};
 
+/// Positional column access: what expression evaluation needs of a row.
+///
+/// Besides a materialized [`Row`], a join pair `(&left, &right)` is a row:
+/// column `i` reads the left row below its arity and the right row above
+/// it, exactly as in `left.concat(right)`. Join kernels evaluate their
+/// condition (and a fused projection) on the pair, so a rejected pair
+/// never allocates a concatenated row.
+pub trait Columns {
+    /// The value at column `i`.
+    fn column(&self, i: usize) -> &Value;
+}
+
+impl Columns for Row {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        self.get(i)
+    }
+}
+
+impl Columns for (&Row, &Row) {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        let la = self.0.arity();
+        if i < la {
+            self.0.get(i)
+        } else {
+            self.1.get(i - la)
+        }
+    }
+}
+
 /// Evaluates an expression against a row. NULL propagates through
 /// arithmetic and comparisons; `AND`/`OR` use Kleene three-valued logic
 /// (with "unknown" represented as [`Value::Null`]).
-pub fn eval_expr(expr: &Expr, row: &Row) -> Value {
+pub fn eval_expr<R: Columns + ?Sized>(expr: &Expr, row: &R) -> Value {
     match expr {
-        Expr::Col(i) => row.get(*i).clone(),
+        Expr::Col(i) => row.column(*i).clone(),
         Expr::Lit(v) => v.clone(),
         Expr::Binary { op, left, right } => {
             let l = eval_expr(left, row);
@@ -94,7 +125,7 @@ pub fn eval_expr(expr: &Expr, row: &Row) -> Value {
 /// Evaluates a predicate: a row passes only when the expression evaluates to
 /// `TRUE` (NULL/unknown filters the row out, as in SQL `WHERE`).
 #[inline]
-pub fn eval_predicate(expr: &Expr, row: &Row) -> bool {
+pub fn eval_predicate<R: Columns + ?Sized>(expr: &Expr, row: &R) -> bool {
     eval_expr(expr, row) == Value::Bool(true)
 }
 
@@ -137,7 +168,7 @@ fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Value {
     }
 }
 
-fn fold_extreme(es: &[Expr], row: &Row, keep: Ordering) -> Value {
+fn fold_extreme<R: Columns + ?Sized>(es: &[Expr], row: &R, keep: Ordering) -> Value {
     // Postgres semantics: NULL arguments are ignored; all-NULL gives NULL.
     let mut best = Value::Null;
     for e in es {
@@ -289,6 +320,24 @@ mod tests {
         assert!(like_match("", ""));
         assert!(!like_match("", "x"));
         assert!(like_match("a%b%c", "aXXbYYc"));
+    }
+
+    #[test]
+    fn pair_view_reads_like_the_concatenation() {
+        let (l, r) = (row![1, "a"], Row::new(vec![Value::Null, Value::Int(4)]));
+        let joined = l.concat(&r);
+        let exprs = [
+            Expr::col(0).lt(Expr::col(3)),
+            Expr::binary(BinOp::Add, Expr::col(2), Expr::col(3)),
+            Expr::Greatest(vec![Expr::col(0), Expr::col(2), Expr::col(3)]),
+            Expr::IsNull {
+                expr: Box::new(Expr::col(2)),
+                negated: false,
+            },
+        ];
+        for e in &exprs {
+            assert_eq!(eval_expr(e, &(&l, &r)), eval_expr(e, &joined), "{e}");
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@ use crate::temporal::{agg_arg_types, temporal_aggregate, temporal_except_all};
 use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode, TimesliceAlgo};
 use index::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
-    parallel_sweep_join_presorted, sweep_join_presorted, try_parallel_sweep_join_presorted,
-    try_sweep_join_presorted, IndexCatalog,
+    try_parallel_sweep_join_presorted, try_sweep_join_presorted, IndexCatalog,
 };
 use snapshot_obs as obs;
 use std::collections::{BTreeMap, HashMap};
@@ -261,9 +260,7 @@ impl Engine {
         stats: &mut ExecStats,
     ) -> Result<Table, String> {
         let rows = self.run(plan, catalog, None, stats, None)?;
-        let mut table = Table::new(plan.schema.clone());
-        table.extend(rows);
-        Ok(table)
+        result_table(plan, rows)
     }
 
     /// Executes a plan with a table-index registry: joins, timeslices, and
@@ -291,9 +288,7 @@ impl Engine {
         stats: &mut ExecStats,
     ) -> Result<Table, String> {
         let rows = self.run(plan, catalog, Some(indexes), stats, None)?;
-        let mut table = Table::new(plan.schema.clone());
-        table.extend(rows);
-        Ok(table)
+        result_table(plan, rows)
     }
 
     /// Executes a plan while collecting per-node actuals (row counts,
@@ -309,14 +304,28 @@ impl Engine {
         nodes: &mut NodeStats,
     ) -> Result<Table, String> {
         let rows = self.run(plan, catalog, indexes, stats, Some(nodes))?;
-        let mut table = Table::new(plan.schema.clone());
-        table.extend(rows);
-        Ok(table)
+        result_table(plan, rows)
     }
 
     fn run(
         &self,
         plan: &Plan,
+        catalog: &Catalog,
+        indexes: Option<&IndexCatalog>,
+        stats: &mut ExecStats,
+        nodes: Option<&mut NodeStats>,
+    ) -> Result<Vec<Row>, String> {
+        self.run_node(plan, None, catalog, indexes, stats, nodes)
+    }
+
+    /// Runs one plan node. `project` is set only for a `Join` whose parent
+    /// is a `Project`: the join then emits the projected rows itself, and
+    /// the parent passes them through. The join node still records its own
+    /// actuals (its rows are the pairs that passed the condition).
+    fn run_node(
+        &self,
+        plan: &Plan,
+        project: Option<&[Expr]>,
         catalog: &Catalog,
         indexes: Option<&IndexCatalog>,
         stats: &mut ExecStats,
@@ -356,11 +365,23 @@ impl Engine {
                     .collect()
             }
             PlanNode::Project { input, exprs } => {
-                let input_rows = self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
-                input_rows
-                    .iter()
-                    .map(|r| Row::new(exprs.iter().map(|e| eval_expr(e, r)).collect()))
-                    .collect()
+                if matches!(input.node, PlanNode::Join { .. }) {
+                    self.run_node(
+                        input,
+                        Some(exprs),
+                        catalog,
+                        indexes,
+                        stats,
+                        nodes.as_deref_mut(),
+                    )?
+                } else {
+                    let input_rows =
+                        self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                    input_rows
+                        .iter()
+                        .map(|r| Row::new(exprs.iter().map(|e| eval_expr(e, r)).collect()))
+                        .collect()
+                }
             }
             PlanNode::Join {
                 left,
@@ -378,6 +399,7 @@ impl Engine {
                         right_rows: &r,
                     },
                     condition,
+                    project,
                     *algo,
                     catalog,
                     indexes,
@@ -551,8 +573,8 @@ impl Engine {
             let n = rows.len() as u64;
             ctx.account.add_rows_emitted(n);
             // Approximate materialization: rows × arity × a 16-byte value.
-            ctx.account
-                .add_bytes_materialized(n * plan.schema.arity() as u64 * 16);
+            let arity = project.map_or(plan.schema.arity(), <[Expr]>::len);
+            ctx.account.add_bytes_materialized(n * arity as u64 * 16);
             if matches!(
                 plan.node,
                 PlanNode::Scan { .. } | PlanNode::VirtualScan { .. } | PlanNode::Values { .. }
@@ -566,10 +588,12 @@ impl Engine {
         Ok(rows)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
         inputs: JoinInputs<'_>,
         condition: &Expr,
+        project: Option<&[Expr]>,
         algo: JoinAlgo,
         catalog: &Catalog,
         indexes: Option<&IndexCatalog>,
@@ -636,6 +660,13 @@ impl Engine {
             explicit => explicit,
         };
 
+        let sink = |conjuncts| PairSink {
+            conjuncts,
+            project,
+            ctx: self.ctx.as_ref(),
+            pairs: 0,
+            out: Vec::new(),
+        };
         Ok(match resolved {
             JoinAlgo::ParallelSweep if overlap.is_some() => {
                 let (lts, lte, rts, rte) = overlap.unwrap();
@@ -662,46 +693,32 @@ impl Engine {
                 // or timeout lands mid-sweep on every thread. The tally is
                 // flushed to the resource account at the same cadence so
                 // `snapshot_stat_progress` moves while the join runs.
-                // Without a context the closure is the bare pair test —
-                // ctx-less execution (benches, ad-hoc Engine users) pays
-                // nothing for cancellability.
-                let (out, pstats) = match &self.ctx {
-                    Some(ctx) => {
-                        let pairs = AtomicU64::new(0);
-                        let (out, pstats) = try_parallel_sweep_join_presorted::<_, String, _>(
-                            &l_sorted,
-                            &r_sorted,
-                            (lts, lte),
-                            (rts, rte),
-                            &cuts,
-                            |lr, rr| {
-                                let seen = pairs.fetch_add(1, Ordering::Relaxed) + 1;
-                                if seen.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                                    ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                                    ctx.check()?;
-                                }
-                                let joined = lr.concat(rr);
-                                Ok(eval_predicate(condition, &joined).then_some(joined))
-                            },
-                        )?;
-                        ctx.account
-                            .add_join_pairs(pairs.load(Ordering::Relaxed) % CANCEL_CHECK_INTERVAL);
-                        ctx.account
-                            .add_index_probes(if both_indexed { 2 } else { 0 });
-                        (out, pstats)
-                    }
-                    None => parallel_sweep_join_presorted(
-                        &l_sorted,
-                        &r_sorted,
-                        (lts, lte),
-                        (rts, rte),
-                        &cuts,
-                        |lr, rr| {
-                            let joined = lr.concat(rr);
-                            eval_predicate(condition, &joined).then_some(joined)
-                        },
-                    ),
-                };
+                // Without a context no worker touches the shared counter.
+                let sink = sink(&conjuncts);
+                let pairs = AtomicU64::new(0);
+                let (out, pstats) = try_parallel_sweep_join_presorted::<_, String, _>(
+                    &l_sorted,
+                    &r_sorted,
+                    (lts, lte),
+                    (rts, rte),
+                    &cuts,
+                    |lr, rr| {
+                        if let Some(ctx) = &self.ctx {
+                            let seen = pairs.fetch_add(1, Ordering::Relaxed) + 1;
+                            if seen.is_multiple_of(CANCEL_CHECK_INTERVAL) {
+                                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
+                                ctx.check()?;
+                            }
+                        }
+                        Ok(sink.row(lr, rr))
+                    },
+                )?;
+                if let Some(ctx) = &self.ctx {
+                    ctx.account
+                        .add_join_pairs(pairs.load(Ordering::Relaxed) % CANCEL_CHECK_INTERVAL);
+                    ctx.account
+                        .add_index_probes(if both_indexed { 2 } else { 0 });
+                }
                 stats.record("ParallelSweepJoin", out.len());
                 stats.record("ParallelSweepSlabs", pstats.slabs);
                 out
@@ -720,48 +737,15 @@ impl Engine {
                     Some((idx, _)) => idx.events().begin_order().map(|i| &right[i]).collect(),
                     None => sorted_by_begin(right, rts),
                 };
-                let mut out = Vec::new();
-                // Same split as the parallel arm: the cancellation check
-                // and live pair tally only ride along when a context is
-                // attached; ctx-less sweeps keep the bare kernel closure.
-                match &self.ctx {
-                    Some(ctx) => {
-                        let mut pairs = 0u64;
-                        try_sweep_join_presorted(
-                            &l_sorted,
-                            &r_sorted,
-                            (lts, lte),
-                            (rts, rte),
-                            |lr, rr| -> Result<(), String> {
-                                pairs += 1;
-                                if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                                    ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                                    ctx.check()?;
-                                }
-                                let joined = lr.concat(rr);
-                                if eval_predicate(condition, &joined) {
-                                    out.push(joined);
-                                }
-                                Ok(())
-                            },
-                        )?;
-                        ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-                        ctx.account
-                            .add_index_probes(if both_indexed { 2 } else { 0 });
-                    }
-                    None => sweep_join_presorted(
-                        &l_sorted,
-                        &r_sorted,
-                        (lts, lte),
-                        (rts, rte),
-                        |lr, rr| {
-                            let joined = lr.concat(rr);
-                            if eval_predicate(condition, &joined) {
-                                out.push(joined);
-                            }
-                        },
-                    ),
+                let mut sink = sink(&conjuncts);
+                try_sweep_join_presorted(&l_sorted, &r_sorted, (lts, lte), (rts, rte), |l, r| {
+                    sink.visit(l, r)
+                })?;
+                if let Some(ctx) = &self.ctx {
+                    ctx.account
+                        .add_index_probes(if both_indexed { 2 } else { 0 });
                 }
+                let out = sink.finish();
                 stats.record(
                     if both_indexed {
                         "IndexSweepJoin"
@@ -773,17 +757,9 @@ impl Engine {
                 out
             }
             JoinAlgo::MergeInterval if overlap.is_some() => {
-                let (lts, lte, rts, rte) = overlap.unwrap();
-                let out = merge_interval_join(
-                    left,
-                    right,
-                    lts,
-                    lte,
-                    rts,
-                    rte,
-                    condition,
-                    self.ctx.as_ref(),
-                )?;
+                let mut sink = sink(&conjuncts);
+                merge_interval_join(left, right, overlap.unwrap(), &mut sink)?;
+                let out = sink.finish();
                 stats.record("MergeIntervalJoin", out.len());
                 out
             }
@@ -806,36 +782,87 @@ impl Engine {
                             .is_some_and(|(li, _)| l_schema.column(li).ty != SqlType::Double)
                     })
                     .collect();
-                let out = hash_join(left, right, &equi, overlap, &residual, self.ctx.as_ref())?;
+                let mut sink = sink(&residual);
+                hash_join(left, right, &equi, overlap, &mut sink)?;
+                let out = sink.finish();
                 stats.record("HashJoin", out.len());
                 out
             }
             _ => {
                 // Nested loop fallback.
-                let mut out = Vec::new();
-                let mut pairs = 0u64;
+                let mut sink = sink(&conjuncts);
                 for l in left {
                     for r in right {
-                        if let Some(ctx) = &self.ctx {
-                            pairs += 1;
-                            if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                                ctx.check()?;
-                            }
-                        }
-                        let joined = l.concat(r);
-                        if eval_predicate(condition, &joined) {
-                            out.push(joined);
-                        }
+                        sink.visit(l, r)?;
                     }
                 }
-                if let Some(ctx) = &self.ctx {
-                    ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-                }
+                let out = sink.finish();
                 stats.record("NestedLoopJoin", out.len());
                 out
             }
         })
+    }
+}
+
+/// Builds a statement's result table. A row that does not fit the plan's
+/// schema is an error for the statement, never a panic.
+fn result_table(plan: &Plan, rows: Vec<Row>) -> Result<Table, String> {
+    let mut table = Table::new(plan.schema.clone());
+    table.try_extend(rows)?;
+    Ok(table)
+}
+
+/// Where a join kernel hands every pair it visits. The condition's
+/// conjuncts are checked on the borrowed pair (see [`crate::Columns`]), and
+/// only a pair that passes allocates its output row: the concatenation,
+/// or, when the join's parent `Project` is fused into it, the projected
+/// row. Sequential kernels [`PairSink::visit`] each pair, which also keeps
+/// the statement's join-pair tally (the resource account is bumped and the
+/// cancel token polled every `CANCEL_CHECK_INTERVAL` pairs); the parallel
+/// sweep's workers share the sink and call [`PairSink::row`].
+struct PairSink<'a> {
+    conjuncts: &'a [&'a Expr],
+    project: Option<&'a [Expr]>,
+    ctx: Option<&'a ExecContext>,
+    pairs: u64,
+    out: Vec<Row>,
+}
+
+impl PairSink<'_> {
+    #[inline]
+    fn row(&self, l: &Row, r: &Row) -> Option<Row> {
+        let pair = (l, r);
+        if !self.conjuncts.iter().all(|c| eval_predicate(c, &pair)) {
+            return None;
+        }
+        Some(match self.project {
+            Some(exprs) => Row::new(exprs.iter().map(|e| eval_expr(e, &pair)).collect()),
+            None => l.concat(r),
+        })
+    }
+
+    #[inline]
+    fn visit(&mut self, l: &Row, r: &Row) -> Result<(), String> {
+        if let Some(ctx) = self.ctx {
+            self.pairs += 1;
+            if self.pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
+                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
+                ctx.check()?;
+            }
+        }
+        if let Some(row) = self.row(l, r) {
+            self.out.push(row);
+        }
+        Ok(())
+    }
+
+    /// The emitted rows; flushes the visited pairs not yet accounted.
+    fn finish(self) -> Vec<Row> {
+        if let Some(ctx) = self.ctx {
+            ctx.account
+                .add_join_pairs(self.pairs % CANCEL_CHECK_INTERVAL);
+        }
+        self.out
     }
 }
 
@@ -1037,17 +1064,17 @@ fn joinable(row: &Row, keys: &[usize], period: Option<(usize, usize)>) -> bool {
 /// then pairs its two halves: with an overlap pattern `(lts, lte, rts,
 /// rte)` both halves are sorted by begin and swept, so only pairs that
 /// match on the key *and* overlap are visited (plus, for empty or inverted
-/// intervals, some that do not); without one, every pair is. A visited pair
-/// is concatenated and kept when the `residual` conjuncts (all but the
-/// keys hashing proves) hold.
+/// intervals, some that do not); without one, every pair is. Visited pairs
+/// go to `sink`, whose conjuncts are the residual: all but the keys hashing
+/// proves.
 fn hash_join(
     left: &[Row],
     right: &[Row],
     keys: &[(usize, usize)],
     overlap: Option<(usize, usize, usize, usize)>,
-    residual: &[&Expr],
-    ctx: Option<&ExecContext>,
-) -> Result<Vec<Row>, String> {
+    sink: &mut PairSink<'_>,
+) -> Result<(), String> {
+    let ctx = sink.ctx;
     let (l_keys, r_keys): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
     let l_side = (
         left,
@@ -1109,85 +1136,48 @@ fn hash_join(
         }
     }
 
-    let mut out = Vec::new();
-    let mut pairs = 0u64;
-    let mut emit = |l: &Row, r: &Row| -> Result<(), String> {
-        if let Some(ctx) = ctx {
-            pairs += 1;
-            if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                ctx.check()?;
-            }
-        }
-        let joined = l.concat(r);
-        if residual.iter().all(|c| eval_predicate(c, &joined)) {
-            out.push(joined);
-        }
-        Ok(())
-    };
     for [l_rows, r_rows] in &mut buckets {
         match overlap {
             Some((lts, lte, rts, rte)) => {
                 l_rows.sort_unstable_by_key(|r| r.int(lts));
                 r_rows.sort_unstable_by_key(|r| r.int(rts));
-                try_sweep_join_presorted(l_rows, r_rows, (lts, lte), (rts, rte), &mut emit)?;
+                try_sweep_join_presorted(l_rows, r_rows, (lts, lte), (rts, rte), |l, r| {
+                    sink.visit(l, r)
+                })?;
             }
             None => {
                 for &l in l_rows.iter() {
                     for &r in r_rows.iter() {
-                        emit(l, r)?;
+                        sink.visit(l, r)?;
                     }
                 }
             }
         }
     }
-    if let Some(ctx) = ctx {
-        ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Forward-scan plane sweep over interval overlap (Bouros & Mamoulis style):
-/// both sides sorted by interval begin; each overlapping pair is emitted
-/// exactly once, then filtered by the full join condition.
-#[allow(clippy::too_many_arguments)]
+/// both sides sorted by interval begin; each overlapping pair is visited
+/// exactly once and handed to `sink`, which checks the full join condition.
 fn merge_interval_join(
     left: &[Row],
     right: &[Row],
-    lts: usize,
-    lte: usize,
-    rts: usize,
-    rte: usize,
-    condition: &Expr,
-    ctx: Option<&ExecContext>,
-) -> Result<Vec<Row>, String> {
+    (lts, lte, rts, rte): (usize, usize, usize, usize),
+    sink: &mut PairSink<'_>,
+) -> Result<(), String> {
     let mut l: Vec<&Row> = left.iter().collect();
     let mut r: Vec<&Row> = right.iter().collect();
     l.sort_by_key(|row| row.int(lts));
     r.sort_by_key(|row| row.int(rts));
 
-    let mut out = Vec::new();
-    let mut pairs = 0u64;
-    let mut consider = |joined: Row, out: &mut Vec<Row>| -> Result<(), String> {
-        if let Some(ctx) = ctx {
-            pairs += 1;
-            if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                ctx.check()?;
-            }
-        }
-        if eval_predicate(condition, &joined) {
-            out.push(joined);
-        }
-        Ok(())
-    };
     let (mut i, mut j) = (0usize, 0usize);
     while i < l.len() && j < r.len() {
         if l[i].int(lts) <= r[j].int(rts) {
             let end = l[i].int(lte);
             let mut k = j;
             while k < r.len() && r[k].int(rts) < end {
-                consider(l[i].concat(r[k]), &mut out)?;
+                sink.visit(l[i], r[k])?;
                 k += 1;
             }
             i += 1;
@@ -1195,16 +1185,13 @@ fn merge_interval_join(
             let end = r[j].int(rte);
             let mut k = i;
             while k < l.len() && l[k].int(lts) < end {
-                consider(l[k].concat(r[j]), &mut out)?;
+                sink.visit(l[k], r[j])?;
                 k += 1;
             }
             j += 1;
         }
     }
-    if let Some(ctx) = ctx {
-        ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-    }
-    Ok(out)
+    Ok(())
 }
 
 fn except_all(left: Vec<Row>, right: &[Row]) -> Vec<Row> {
@@ -1443,6 +1430,30 @@ mod tests {
             .unwrap();
         assert_eq!(stats.get("Scan"), Some((1, 4)));
         assert_eq!(stats.get("Filter"), Some((1, 3)));
+    }
+
+    #[test]
+    fn wrong_arity_result_row_is_an_error_not_a_panic() {
+        // A plan whose rows do not fit its schema (built around the
+        // arity-checking constructor) fails the statement on every entry
+        // point instead of panicking while the result table is built.
+        let plan = Plan {
+            node: PlanNode::Values {
+                rows: vec![row![1], row![2, 3]],
+            },
+            schema: Schema::of(&[("x", SqlType::Int)]),
+        };
+        let c = Catalog::new();
+        let indexes = IndexCatalog::default();
+        let mut stats = ExecStats::default();
+        let errs = [
+            Engine::new().execute_with_stats(&plan, &c, &mut stats),
+            Engine::new().execute_indexed_with_stats(&plan, &c, &indexes, &mut stats),
+            Engine::new().execute_analyzed(&plan, &c, None, &mut stats, &mut NodeStats::default()),
+        ];
+        for err in errs {
+            assert!(err.unwrap_err().contains("arity"));
+        }
     }
 
     #[test]

@@ -28,20 +28,22 @@ impl CoalesceIndex {
     pub fn build(rows: &[Row], arity: usize) -> CoalesceIndex {
         assert!(arity >= 2, "period rows need the two period columns");
         let data_cols = arity - 2;
-        let mut groups: std::collections::HashMap<Vec<Value>, Vec<(i64, i64)>> =
+        let mut groups: std::collections::HashMap<&[Value], Vec<(i64, i64)>> =
             std::collections::HashMap::new();
         for r in rows {
             debug_assert_eq!(r.arity(), arity);
-            let key = r.values()[..data_cols].to_vec();
-            let events = groups.entry(key).or_default();
+            let events = groups.entry(&r.values()[..data_cols]).or_default();
             events.push((r.int(data_cols), 1));
             events.push((r.int(data_cols + 1), -1));
         }
-        let mut groups: Vec<GroupEvents> = groups.into_iter().collect();
-        for (_, events) in &mut groups {
-            events.sort_unstable();
-        }
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut groups: Vec<GroupEvents> = groups
+            .into_iter()
+            .map(|(key, mut events)| {
+                events.sort_unstable();
+                (key.to_vec(), events)
+            })
+            .collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         CoalesceIndex {
             groups,
             rows: rows.len(),
@@ -108,42 +110,54 @@ impl CoalesceIndex {
     }
 
     /// Emits the coalesced multiset — identical output (including the
-    /// canonical sort) to `engine::coalesce::coalesce_rows` on the same
-    /// input, but without re-grouping or re-sorting.
+    /// canonical order) to `engine::coalesce::coalesce_rows` on the same
+    /// input, but without re-grouping or re-sorting: the groups are kept in
+    /// key order and [`emit_segments`] emits each one in time order.
     pub fn coalesced_rows(&self) -> Vec<Row> {
         let mut out: Vec<Row> = Vec::with_capacity(self.rows);
         for (key, events) in &self.groups {
-            let mut depth: i64 = 0;
-            let mut seg_start: i64 = 0;
-            let mut i = 0usize;
-            while i < events.len() {
-                let t = events[i].0;
-                let mut delta = 0;
-                while i < events.len() && events[i].0 == t {
-                    delta += events[i].1;
-                    i += 1;
-                }
-                if delta == 0 {
-                    continue; // equal opens and closes: multiplicity unchanged
-                }
-                if depth > 0 {
-                    let mut values = Vec::with_capacity(key.len() + 2);
-                    values.extend_from_slice(key);
-                    values.push(Value::Int(seg_start));
-                    values.push(Value::Int(t));
-                    let row = Row::new(values);
-                    for _ in 0..depth {
-                        out.push(row.clone());
-                    }
-                }
-                depth += delta;
-                seg_start = t;
-            }
-            debug_assert_eq!(depth, 0, "unbalanced interval events");
+            emit_segments(key, events, &mut out);
         }
-        out.sort_unstable();
         out
     }
+}
+
+/// Emits one value-equivalence group's coalesced rows: `events` are the
+/// group's `(t, +1)` begin and `(t, -1)` end events sorted by time, and
+/// every maximal segment `[b, e)` of constant multiplicity `m > 0` becomes
+/// `m` copies of `key ++ [b, e]`. Segments come out in time order, so a
+/// caller that visits groups in key order emits the canonical (sorted)
+/// encoding without sorting rows.
+pub fn emit_segments(key: &[Value], events: &[(i64, i64)], out: &mut Vec<Row>) {
+    let mut depth: i64 = 0;
+    let mut seg_start: i64 = 0;
+    let mut i = 0usize;
+    while i < events.len() {
+        let t = events[i].0;
+        let mut delta = 0;
+        while i < events.len() && events[i].0 == t {
+            delta += events[i].1;
+            i += 1;
+        }
+        if delta == 0 {
+            continue; // equal opens and closes: multiplicity unchanged
+        }
+        if depth > 0 {
+            // Close the maximal segment [seg_start, t) at depth `depth`.
+            let mut values = Vec::with_capacity(key.len() + 2);
+            values.extend_from_slice(key);
+            values.push(Value::Int(seg_start));
+            values.push(Value::Int(t));
+            let row = Row::new(values);
+            for _ in 1..depth {
+                out.push(row.clone());
+            }
+            out.push(row);
+        }
+        depth += delta;
+        seg_start = t;
+    }
+    debug_assert_eq!(depth, 0, "unbalanced interval events");
 }
 
 #[cfg(test)]

@@ -212,6 +212,20 @@ impl Table {
         }
     }
 
+    /// [`Table::extend`] that reports instead of panicking: every row is
+    /// checked first, and on the first [`Table::check_row`] failure the
+    /// error is returned and nothing is appended.
+    pub fn try_extend(&mut self, rows: Vec<Row>) -> Result<(), String> {
+        for r in &rows {
+            self.check_row(r)?;
+        }
+        if !rows.is_empty() {
+            self.rows.extend(rows);
+            self.bump_append();
+        }
+        Ok(())
+    }
+
     /// Deletes every row matching `pred`, returning how many were removed.
     /// A no-op delete leaves the version (and thus any index) untouched.
     pub fn delete_where<P: FnMut(&Row) -> bool>(&mut self, mut pred: P) -> usize {
@@ -569,6 +583,23 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, "boom");
         assert_eq!(t, before);
+    }
+
+    #[test]
+    fn try_extend_reports_and_appends_nothing() {
+        let mut t = Table::with_period(works_schema(), 2, 3);
+        t.push(row!["Ann", "SP", 3, 10]);
+        let before = t.clone();
+        let version = t.version();
+        let err = t
+            .try_extend(vec![row!["Sam", "SP", 8, 16], row!["Eve", "SP"]])
+            .unwrap_err();
+        assert!(err.contains("arity"), "{err}");
+        assert_eq!(t, before);
+        assert_eq!(t.version(), version, "a failed batch changes nothing");
+        t.try_extend(vec![row!["Sam", "SP", 8, 16]]).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.appended_since(version), Some(1));
     }
 
     #[test]
